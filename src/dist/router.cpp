@@ -31,6 +31,25 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+// The registry instruments the routing path touches, resolved once: each
+// Registry lookup takes the registry's global mutex. The references stay
+// valid across Registry::reset(), which zeroes values in place.
+struct Instruments {
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Counter& requests = registry.counter("router.requests");
+  obs::Counter& forwarded = registry.counter("router.forwarded");
+  obs::Counter& responses = registry.counter("router.responses");
+  obs::Counter& failovers = registry.counter("router.failovers");
+  obs::Counter& late_drops = registry.counter("router.late_drops");
+  obs::Counter& rejected = registry.counter("router.rejected");
+  obs::Gauge& pending = registry.gauge("router.pending");
+};
+
+const Instruments& instruments() {
+  static const Instruments kInstruments;
+  return kInstruments;
+}
+
 }  // namespace
 
 Router::Router(RouterConfig config)
@@ -96,24 +115,23 @@ std::vector<std::string> Router::route_of(const std::string& line) const {
 void Router::handle_line(const std::string& line,
                          const serve::TcpServer::EmitLine& emit) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("router.requests").add();
+  instruments().requests.add();
 
-  // In-band admin lines answer from the aggregated views, mirroring the
-  // single-process transports.
-  if (line.find("\"admin\"") != std::string::npos) {
-    if (const std::optional<obs::Json> doc = obs::Json::parse(line);
-        doc && doc->is_object()) {
-      if (const obs::Json* what = doc->find("admin");
-          what != nullptr && what->is_string()) {
-        emit(admin_in_band(what->as_string()).dump(0));
-        return;
-      }
+  // The line is JSON-parsed once: the same document answers in-band admin
+  // lines, yields the request, and becomes the forwarded line.
+  std::optional<obs::Json> doc = obs::Json::parse(line);
+  if (doc) {
+    // In-band admin lines answer from the aggregated views, mirroring the
+    // single-process transports.
+    if (const obs::Json* what = doc->find("admin"); what != nullptr && what->is_string()) {
+      emit(admin_in_band(what->as_string()).dump(0));
+      return;
     }
   }
 
   serve::ServeRequest request;
   try {
-    request = serve::parse_request(line);
+    request = serve::request_from_json(doc);
   } catch (const std::exception& e) {
     // Same inline answer (and bytes) a shard's transport would produce.
     serve::ServeResponse resp;
@@ -136,14 +154,12 @@ void Router::handle_line(const std::string& line,
       if (link->address.name == owner) entry.candidates.push_back(link->index);
   }
 
-  std::optional<obs::Json> doc = obs::Json::parse(line);
-  if (!doc || !doc->is_object() || entry.candidates.empty()) {
+  if (entry.candidates.empty()) {
     serve::ServeResponse resp;
     resp.id = request.id;
     resp.status = serve::ResponseStatus::kRejected;
     resp.retry_after_ms = config_.retry_after_ms;
-    resp.error = entry.candidates.empty() ? "no shards configured"
-                                          : "router could not parse request";
+    resp.error = "no shards configured";
     emit(resp.to_line());
     rejected_.fetch_add(1, std::memory_order_relaxed);
     responses_.fetch_add(1, std::memory_order_relaxed);
@@ -180,8 +196,7 @@ void Router::handle_line(const std::string& line,
   {
     std::lock_guard lock(pending_mutex_);
     pending_.emplace(id, std::move(entry));
-    obs::Registry::instance().gauge("router.pending").set(
-        static_cast<double>(pending_.size()));
+    instruments().pending.set(static_cast<double>(pending_.size()));
   }
   if (obs::Logger::instance().enabled(obs::LogLevel::kDebug))
     obs::log_debug("router.admit",
@@ -190,7 +205,7 @@ void Router::handle_line(const std::string& line,
   dispatch(id);
 }
 
-void Router::dispatch(std::uint64_t id) {
+void Router::dispatch(std::uint64_t id, int failed_attempt) {
   for (;;) {
     std::string line;
     std::size_t target = static_cast<std::size_t>(-1);
@@ -205,11 +220,15 @@ void Router::dispatch(std::uint64_t id) {
       const auto it = pending_.find(id);
       if (it == pending_.end()) return;  // already answered (claimed)
       Pending& entry = it->second;
+      // A maintenance re-dispatch acts on a snapshot: when the entry has
+      // moved past the attempt that snapshot saw fail (its own send failure
+      // already failed it over), its live attempt is fine.
+      if (failed_attempt != 0 && entry.attempts_used != failed_attempt) return;
+      failed_attempt = 0;
       if (entry.attempts_left <= 0) {
         exhausted = std::move(entry);
         pending_.erase(it);
-        obs::Registry::instance().gauge("router.pending").set(
-            static_cast<double>(pending_.size()));
+        instruments().pending.set(static_cast<double>(pending_.size()));
       } else {
         entry.attempts_left -= 1;
 
@@ -273,14 +292,14 @@ void Router::dispatch(std::uint64_t id) {
                            {"shard", obs::Json(link.address.name)}}));
     if (send_to_link(link, line)) {
       link.forwarded.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::instance().counter("router.forwarded").add();
+      instruments().forwarded.add();
       return;
     }
     // Send failed: the shard is down right now. Loop — the cursor already
     // advanced past it, so the next iteration tries the following replica
     // (or exhausts the budget into an explicit rejection).
     failovers_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("router.failovers").add();
+    instruments().failovers.add();
     if (attempt_start_us != 0) {
       obs::Tracer& tracer = obs::Tracer::instance();
       tracer.record("dist", "attempt", attempt_start_us,
@@ -366,7 +385,7 @@ void Router::read_loop(Link& link) {
 }
 
 void Router::handle_shard_response(Link& link, const std::string& line) {
-  const std::optional<obs::Json> doc = obs::Json::parse(line);
+  std::optional<obs::Json> doc = obs::Json::parse(line);
   if (!doc || !doc->is_object()) return;
   const obs::Json* id_field = doc->find("id");
   if (id_field == nullptr) return;
@@ -380,13 +399,12 @@ void Router::handle_shard_response(Link& link, const std::string& line) {
       // A late answer from a timed-out or failed-over attempt; the client
       // already got (or will get) exactly one response from elsewhere.
       late_drops_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::instance().counter("router.late_drops").add();
+      instruments().late_drops.add();
       return;
     }
     claimed = std::move(it->second);
     pending_.erase(it);
-    obs::Registry::instance().gauge("router.pending").set(
-        static_cast<double>(pending_.size()));
+    instruments().pending.set(static_cast<double>(pending_.size()));
   }
 
   const Clock::time_point now = Clock::now();
@@ -400,20 +418,6 @@ void Router::handle_shard_response(Link& link, const std::string& line) {
                   obs::trace_args({{"attempt", claimed.attempts_used}, {"ok", 1}}));
   }
 
-  // Swap the client's id back in. Shards serialize with the same writer, so
-  // this re-dump is byte-identical to the shard's line outside the id field.
-  obs::Json response = *doc;
-  response.set("id", claimed.original_id);
-  // Hop fields, traced requests only (set() appends, matching the tail
-  // position ServeResponse::to_json gives them); untraced routed responses
-  // stay byte-identical to direct serving.
-  if (claimed.trace) {
-    response.set("attempts",
-                 obs::Json(static_cast<std::uint64_t>(claimed.attempts_used)));
-    response.set("shard", obs::Json(link.address.name));
-    response.set("router_queued_ms",
-                 obs::Json(std::max(0.0, claimed.first_dispatch_ms)));
-  }
   // Flight-record before emitting: a client that reads its response and
   // immediately asks /flightz must find its own request in the ring.
   obs::FlightRecord flight_record;
@@ -439,10 +443,25 @@ void Router::handle_shard_response(Link& link, const std::string& line) {
     flight_record.cache_hit = v->as_bool();
   flight_.record(std::move(flight_record));
 
+  // Swap the client's id back in, in place. Shards serialize with the same
+  // writer, so this re-dump is byte-identical to the shard's line outside
+  // the id field.
+  obs::Json response = std::move(*doc);
+  response.set("id", std::move(claimed.original_id));
+  // Hop fields, traced requests only (set() appends, matching the tail
+  // position ServeResponse::to_json gives them); untraced routed responses
+  // stay byte-identical to direct serving.
+  if (claimed.trace) {
+    response.set("attempts",
+                 obs::Json(static_cast<std::uint64_t>(claimed.attempts_used)));
+    response.set("shard", obs::Json(link.address.name));
+    response.set("router_queued_ms",
+                 obs::Json(std::max(0.0, claimed.first_dispatch_ms)));
+  }
   claimed.emit(response.dump(0));
   link.answered.fetch_add(1, std::memory_order_relaxed);
   responses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("router.responses").add();
+  instruments().responses.add();
 
   if (obs::Logger::instance().enabled(obs::LogLevel::kDebug))
     obs::log_debug(
@@ -484,7 +503,7 @@ void Router::reject(std::uint64_t id, Pending entry, const std::string& reason) 
   entry.emit(resp.to_line());
   rejected_.fetch_add(1, std::memory_order_relaxed);
   responses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("router.rejected").add();
+  instruments().rejected.add();
   obs::log_warn("router.reject",
                 obs::log_fields({{"id", obs::Json(resp.id)},
                                  {"trace_id", obs::Json(entry.trace_id)},
@@ -528,9 +547,15 @@ void Router::maintenance_loop() {
       }
     }
     for (const Redispatch& r : redispatch) {
+      {
+        // Answered, or failed over by its own dispatch, since the scan.
+        std::lock_guard lock(pending_mutex_);
+        const auto it = pending_.find(r.id);
+        if (it == pending_.end() || it->second.attempts_used != r.attempt) continue;
+      }
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       failovers_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::instance().counter("router.failovers").add();
+      instruments().failovers.add();
       obs::TraceContextScope trace_scope(r.trace_id);
       if (r.attempt_start_us != 0 && obs::Tracer::instance().enabled()) {
         // The failed attempt's span closes here — its shard never answered.
@@ -550,7 +575,7 @@ void Router::maintenance_loop() {
                                        : std::string{})},
                {"reason", obs::Json(r.dead_link ? "shard connection died"
                                                 : "attempt timeout")}}));
-      dispatch(r.id);
+      dispatch(r.id, r.attempt);
     }
   }
 }

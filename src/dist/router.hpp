@@ -5,6 +5,9 @@
 // are plain srna-serve processes that never learn they are behind one. Per
 // request the router:
 //
+//   0. parses the line once (obs::Json); that one document answers in-band
+//      admin lines, yields the validated request, and becomes the line it
+//      forwards;
 //   1. computes a routing key — the canonical structure-pair digest
 //      (rna/structure_hash.hpp) when the literal pair parses locally, an
 //      FNV-1a fallback over the raw request fields otherwise (db-name pairs,
@@ -14,9 +17,10 @@
 //   3. rewrites the request's "id" to a router-internal correlation id,
 //      records a Pending entry, and forwards the line over the owner's
 //      persistent TCP link (lazily connected, one reader thread per link);
-//   4. on the shard's response line, swaps the original id back in and
-//      emits to the client. Both directions reserialize through obs::Json,
-//      the same writer the shards use, so routed bytes equal direct bytes.
+//   4. on the shard's response line, swaps the original id back into the
+//      parsed response and emits it to the client. Both directions
+//      reserialize through obs::Json, the same writer the shards use, so
+//      routed bytes equal direct bytes.
 //
 // Failover: a dead link (connection reset) or a per-attempt timeout
 // re-dispatches the request to the next distinct replica on the ring, up to
@@ -132,7 +136,10 @@ class Router {
     std::size_t cursor = 0;               // next candidate to try
     int attempts_left = 0;
     std::size_t shard = static_cast<std::size_t>(-1);  // current in-flight link
-    std::chrono::steady_clock::time_point deadline;
+    // Per-attempt deadline, set by dispatch(). An entry admitted but not yet
+    // dispatched has no attempt to time out, so maintenance must skip it.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
     // Correlation: the fleet-unique trace id stamped into the forwarded line
     // (the owning shard adopts it), plus what the hop spans and the flight
     // record need when the answer (or the failure) comes back.
@@ -148,7 +155,10 @@ class Router {
 
   [[nodiscard]] std::uint64_t routing_key(const serve::ServeRequest& request,
                                           bool* canonical = nullptr) const;
-  void dispatch(std::uint64_t id);
+  // Sends the request's next attempt (or rejects it once attempts run out).
+  // `failed_attempt` != 0 names the attempt a maintenance scan saw fail;
+  // the call does nothing if the entry has since moved past it.
+  void dispatch(std::uint64_t id, int failed_attempt = 0);
   bool send_to_link(Link& link, const std::string& line);
   void read_loop(Link& link);
   void handle_shard_response(Link& link, const std::string& line);

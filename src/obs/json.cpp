@@ -192,8 +192,16 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Bounded recursion: a line of nothing but brackets must fail the
+        // parse, not overflow the stack.
+        if (depth_ == Json::kMaxDepth) return std::nullopt;
+        ++depth_;
+        std::optional<Json> nested = text_[pos_] == '{' ? object() : array();
+        --depth_;
+        return nested;
+      }
       case '"': {
         auto s = string();
         if (!s) return std::nullopt;
@@ -331,6 +339,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // objects and arrays currently open
 };
 
 }  // namespace

@@ -78,8 +78,10 @@ class Json {
   // Serialization. indent == 0 emits one line; indent > 0 pretty-prints.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  // Parsing; std::nullopt on any syntax error or trailing garbage.
+  // Parsing; std::nullopt on any syntax error, trailing garbage, or objects
+  // and arrays nested more than kMaxDepth deep.
   static std::optional<Json> parse(std::string_view text);
+  static constexpr int kMaxDepth = 256;
 
   // Escapes `s` for embedding in a JSON string literal (quotes excluded).
   static std::string escape(std::string_view s);

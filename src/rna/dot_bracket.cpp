@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -28,7 +29,10 @@ int close_level(char c) {
 
 SecondaryStructure parse_dot_bracket(std::string_view text) {
   std::vector<Arc> arcs;
+  arcs.reserve(text.size() / 2);
   std::array<std::vector<Pos>, 4> stacks;
+  stacks[0].reserve(text.size() / 2);
+  unsigned levels_used = 0;  // bit per bracket kind seen
 
   Pos i = 0;
   for (char c : text) {
@@ -38,6 +42,7 @@ SecondaryStructure parse_dot_bracket(std::string_view text) {
     }
     if (int level = open_level(c); level >= 0) {
       stacks[static_cast<std::size_t>(level)].push_back(i++);
+      levels_used |= 1u << level;
       continue;
     }
     if (int level = close_level(c); level >= 0) {
@@ -56,7 +61,18 @@ SecondaryStructure parse_dot_bracket(std::string_view text) {
     if (!stack.empty())
       throw std::invalid_argument("unbalanced dot-bracket: " + std::to_string(stack.size()) +
                                   " unclosed bracket(s)");
-  return SecondaryStructure::from_arcs(i, std::move(arcs));
+  if (std::popcount(levels_used) > 1) return SecondaryStructure::from_arcs(i, std::move(arcs));
+
+  // One bracket kind: the arcs nest. They close in increasing position, so
+  // they are already sorted by right endpoint, and the scan above made every
+  // endpoint distinct and in range — none of from_arcs's validation can fail.
+  SecondaryStructure s(i);
+  for (const Arc& a : arcs) {
+    s.partner_[static_cast<std::size_t>(a.left)] = a.right;
+    s.partner_[static_cast<std::size_t>(a.right)] = a.left;
+  }
+  s.arcs_ = std::move(arcs);
+  return s;
 }
 
 std::string to_dot_bracket(const SecondaryStructure& s) {

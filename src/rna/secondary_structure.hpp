@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rna/arc.hpp"
@@ -106,6 +107,10 @@ class SecondaryStructure {
   friend bool operator==(const SecondaryStructure&, const SecondaryStructure&) = default;
 
  private:
+  // The parser builds single-bracket-kind structures directly: its scan
+  // already guarantees everything from_arcs would check.
+  friend SecondaryStructure parse_dot_bracket(std::string_view text);
+
   Pos n_ = 0;
   std::vector<Arc> arcs_;      // sorted by right endpoint
   std::vector<Pos> partner_;   // -1 = unpaired

@@ -18,12 +18,31 @@ std::uint64_t fingerprint_seed(const std::string& fingerprint) noexcept {
   return h;
 }
 
+// Resolved once: each Registry lookup takes the registry's global mutex, and
+// these are bumped on every lookup.
+struct Instruments {
+  obs::Counter& hits = obs::Registry::instance().counter("serve.cache_hits");
+  obs::Counter& misses = obs::Registry::instance().counter("serve.cache_misses");
+  obs::Counter& evictions = obs::Registry::instance().counter("serve.cache_evictions");
+  obs::Gauge& bytes = obs::Registry::instance().gauge("serve.cache_bytes");
+};
+
+const Instruments& instruments() {
+  static const Instruments kInstruments;
+  return kInstruments;
+}
+
 }  // namespace
 
 CacheKey CacheKey::make(const SecondaryStructure& a, const SecondaryStructure& b,
                         std::string fingerprint) {
+  return make(a, b, std::move(fingerprint), hash_structure_pair(a, b));
+}
+
+CacheKey CacheKey::make(const SecondaryStructure& a, const SecondaryStructure& b,
+                        std::string fingerprint, std::uint64_t pair_digest) {
   CacheKey key;
-  key.digest = hash_structure_pair(a, b, fingerprint_seed(fingerprint));
+  key.digest = fnv1a_mix(pair_digest, fingerprint_seed(fingerprint));
   key.len_a = a.length();
   key.len_b = b.length();
   key.arcs_a = a.arcs_by_right();
@@ -41,23 +60,25 @@ ResultCache::ResultCache(CacheConfig config) : capacity_(config.capacity) {
   per_shard_capacity_ = capacity_ == 0 ? 0 : (capacity_ + shard_count - 1) / shard_count;
 }
 
-std::optional<Score> ResultCache::get(const CacheKey& key) {
+std::optional<Score> ResultCache::get(const CacheKey& key, bool count_miss) {
   if (capacity_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   Shard& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.cache_misses").add();
+    if (count_miss) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      instruments().misses.add();
+    }
     return std::nullopt;
   }
   // Refresh recency: splice the node to the front without reallocation.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("serve.cache_hits").add();
+  instruments().hits.add();
   return it->second.value;
 }
 
@@ -77,15 +98,14 @@ void ResultCache::put(CacheKey key, Score value) {
     bytes_.fetch_sub(victim->footprint_bytes() + sizeof(Entry), std::memory_order_relaxed);
     shard.entries.erase(*victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.cache_evictions").add();
+    instruments().evictions.add();
   }
   const auto [it, inserted] = shard.entries.emplace(std::move(key), Entry{value, {}});
   shard.lru.push_front(&it->first);
   it->second.lru_it = shard.lru.begin();
   insertions_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(it->first.footprint_bytes() + sizeof(Entry), std::memory_order_relaxed);
-  obs::Registry::instance().gauge("serve.cache_bytes")
-      .set(static_cast<double>(bytes_.load(std::memory_order_relaxed)));
+  instruments().bytes.set(static_cast<double>(bytes_.load(std::memory_order_relaxed)));
   (void)inserted;
 }
 
@@ -130,8 +150,7 @@ void ResultCache::clear() {
     shard->entries.clear();
     shard->lru.clear();
   }
-  obs::Registry::instance().gauge("serve.cache_bytes")
-      .set(static_cast<double>(bytes_.load(std::memory_order_relaxed)));
+  instruments().bytes.set(static_cast<double>(bytes_.load(std::memory_order_relaxed)));
 }
 
 }  // namespace srna::serve

@@ -49,6 +49,10 @@ struct CacheKey {
 
   static CacheKey make(const SecondaryStructure& a, const SecondaryStructure& b,
                        std::string fingerprint);
+  // The same key from an already computed hash_structure_pair(a, b), so a
+  // caller that also needs the pair digest hashes the pair once.
+  static CacheKey make(const SecondaryStructure& a, const SecondaryStructure& b,
+                       std::string fingerprint, std::uint64_t pair_digest);
 
   [[nodiscard]] bool operator==(const CacheKey& other) const noexcept {
     return digest == other.digest && len_a == other.len_a && len_b == other.len_b &&
@@ -72,8 +76,10 @@ class ResultCache {
  public:
   explicit ResultCache(CacheConfig config);
 
-  // Looks up `key`, refreshing its recency on a hit.
-  [[nodiscard]] std::optional<Score> get(const CacheKey& key);
+  // Looks up `key`, refreshing its recency on a hit. A second look for a
+  // request that already missed passes count_miss = false, so each request
+  // counts at most one miss.
+  [[nodiscard]] std::optional<Score> get(const CacheKey& key, bool count_miss = true);
 
   // Inserts (or refreshes) key -> value, evicting the shard's least recently
   // used entry when the shard is at capacity. No-op when capacity == 0.

@@ -24,6 +24,14 @@ double number_field(const obs::Json& doc, std::string_view key, double def) {
   return v->as_double();
 }
 
+// The request id: any JSON number, truncated toward zero. One outside the
+// int64 range has no value to truncate to and is refused.
+std::int64_t id_field(const obs::Json& doc) {
+  const double id = number_field(doc, "id", 0);
+  if (!(id > -0x1p63 && id < 0x1p63)) bad_request("field 'id' is out of range");
+  return static_cast<std::int64_t>(id);
+}
+
 bool bool_field(const obs::Json& doc, std::string_view key) {
   const obs::Json* v = doc.find(key);
   if (v == nullptr) return false;
@@ -35,33 +43,37 @@ bool bool_field(const obs::Json& doc, std::string_view key) {
 }  // namespace
 
 ServeRequest parse_request(std::string_view line) {
-  const std::optional<obs::Json> doc = obs::Json::parse(line);
-  if (!doc || !doc->is_object()) bad_request("expected one JSON object per line");
+  return request_from_json(obs::Json::parse(line));
+}
+
+ServeRequest request_from_json(const std::optional<obs::Json>& parsed) {
+  if (!parsed || !parsed->is_object()) bad_request("expected one JSON object per line");
+  const obs::Json& doc = *parsed;
 
   static constexpr std::string_view kKnown[] = {"id",     "a",           "b",
                                                 "a_name", "b_name",      "algorithm",
                                                 "layout", "deadline_ms", "no_cache",
                                                 "trace",  "trace_id"};
-  for (const auto& [key, value] : doc->members()) {
+  for (const auto& [key, value] : doc.members()) {
     bool known = false;
     for (const std::string_view k : kKnown) known = known || key == k;
     if (!known) bad_request("unknown field '" + key + "'");
   }
 
   ServeRequest req;
-  req.id = static_cast<std::int64_t>(number_field(*doc, "id", 0));
-  req.a = string_field(*doc, "a");
-  req.b = string_field(*doc, "b");
-  req.a_name = string_field(*doc, "a_name");
-  req.b_name = string_field(*doc, "b_name");
-  req.algorithm = string_field(*doc, "algorithm");
-  req.layout = string_field(*doc, "layout");
-  req.deadline_ms = number_field(*doc, "deadline_ms", 0.0);
-  req.no_cache = bool_field(*doc, "no_cache");
-  req.trace = bool_field(*doc, "trace");
+  req.id = id_field(doc);
+  req.a = string_field(doc, "a");
+  req.b = string_field(doc, "b");
+  req.a_name = string_field(doc, "a_name");
+  req.b_name = string_field(doc, "b_name");
+  req.algorithm = string_field(doc, "algorithm");
+  req.layout = string_field(doc, "layout");
+  req.deadline_ms = number_field(doc, "deadline_ms", 0.0);
+  req.no_cache = bool_field(doc, "no_cache");
+  req.trace = bool_field(doc, "trace");
   // Exact 64-bit read (as_uint, not the double-based number_field): router-
   // minted ids use high bits a double round-trip would corrupt.
-  if (const obs::Json* v = doc->find("trace_id")) {
+  if (const obs::Json* v = doc.find("trace_id")) {
     if (!v->is_number()) bad_request("field 'trace_id' must be a number");
     req.trace_id = v->as_uint();
   }

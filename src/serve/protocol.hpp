@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -76,6 +77,13 @@ struct ServeRequest {
 // unknown fields, or an inconsistent pair form — the message is safe to
 // embed in an error response.
 ServeRequest parse_request(std::string_view line);
+
+// The same validation over a line already given to obs::Json::parse, for
+// transports that parse a line once and also look at it for themselves
+// (in-band admin lines, the router's forwarded copy). Same errors as
+// parse_request; nullopt (the line was not JSON) is refused like a
+// non-object.
+ServeRequest request_from_json(const std::optional<obs::Json>& parsed);
 
 enum class ResponseStatus : std::uint8_t {
   kOk,

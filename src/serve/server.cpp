@@ -21,28 +21,27 @@ namespace srna::serve {
 namespace {
 
 // Routes one input line and answers through `emit_line` (a raw response
-// line, no trailing newline). Exactly one emit per call:
+// line, no trailing newline). The line is JSON-parsed once. Exactly one emit
+// per call:
 //   * `{"admin": "metrics" | "healthz" | "readyz" | "statz"}` lines are answered
 //     inline from the admin plane — they never enter the admission queue,
 //     so they keep working while the service is overloaded or draining.
-//   * parse failures and admission rejects answer inline;
+//   * parse failures, resolve failures, cache hits and admission rejects
+//     answer inline;
 //   * accepted requests answer from a worker (the caller tracks outstanding
 //     responses itself via emit_line).
 void submit_line(QueryService& service, const std::string& line,
                  const std::function<void(const std::string&)>& emit_line) {
-  if (line.find("\"admin\"") != std::string::npos) {
-    if (const std::optional<obs::Json> doc = obs::Json::parse(line);
-        doc && doc->is_object()) {
-      if (const obs::Json* what = doc->find("admin");
-          what != nullptr && what->is_string()) {
-        emit_line(admin_json(service, what->as_string()).dump(0));
-        return;
-      }
+  const std::optional<obs::Json> doc = obs::Json::parse(line);
+  if (doc) {
+    if (const obs::Json* what = doc->find("admin"); what != nullptr && what->is_string()) {
+      emit_line(admin_json(service, what->as_string()).dump(0));
+      return;
     }
   }
   ServeRequest request;
   try {
-    request = parse_request(line);
+    request = request_from_json(doc);
   } catch (const std::exception& e) {
     ServeResponse resp;
     resp.status = ResponseStatus::kError;
@@ -50,7 +49,7 @@ void submit_line(QueryService& service, const std::string& line,
     emit_line(resp.to_line());
     return;
   }
-  // Captured by value: the worker invokes this after submit_line returned.
+  // Captured by value: a worker may invoke this after submit_line returned.
   service.submit(std::move(request),
                  [emit_line](const ServeResponse& resp) { emit_line(resp.to_line()); });
 }
@@ -149,19 +148,12 @@ void TcpServer::stop() {
   ::close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  std::vector<std::weak_ptr<Connection>> connections;
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard lock(mutex_);
-    connections.swap(connections_);
-    readers.swap(readers_);
-  }
-  for (const std::weak_ptr<Connection>& weak : connections) {
-    if (const std::shared_ptr<Connection> conn = weak.lock()) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (std::thread& t : readers) {
-    if (t.joinable()) t.join();
-  }
+  std::unique_lock lock(mutex_);
+  for (const auto& [conn, reader] : live_) ::shutdown(conn->fd, SHUT_RDWR);
+  readers_done_.wait(lock, [&] { return live_.empty(); });
+  std::thread last = std::move(finished_);
+  lock.unlock();
+  if (last.joinable()) last.join();
 }
 
 void TcpServer::accept_loop() {
@@ -177,18 +169,14 @@ void TcpServer::accept_loop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     std::lock_guard lock(mutex_);
-    if (stopped_) {
-      ::close(fd);
-      return;
-    }
-    connections_.push_back(conn);
-    readers_.emplace_back([this, conn = std::move(conn)]() mutable {
-      serve_connection(std::move(conn));
-    });
+    if (stopped_) return;  // conn's destructor closes fd
+    // Inserted under mutex_, which the reader needs before it can leave.
+    Connection* key = conn.get();
+    live_.emplace(key, std::thread([this, conn = std::move(conn)] { serve_connection(conn); }));
   }
 }
 
-void TcpServer::serve_connection(std::shared_ptr<Connection> conn) {
+void TcpServer::serve_connection(const std::shared_ptr<Connection>& conn) {
   // In-flight responses may outlive the reader loop (a worker finishes after
   // the client half-closes); the shared_ptr keeps the fd and write mutex
   // alive until the last callback drops its reference. send() failures on a
@@ -207,25 +195,50 @@ void TcpServer::serve_connection(std::shared_ptr<Connection> conn) {
 
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  bool oversized = false;
+  while (!oversized) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // peer closed or server stopping
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxLineBytes) {
+        oversized = true;
+        break;
+      }
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       start = nl + 1;
       if (!line.empty()) handler_(line, emit);
     }
     buffer.erase(0, start);
+    oversized = oversized || buffer.size() > kMaxLineBytes;
+  }
+  if (oversized) {
+    ServeResponse resp;
+    resp.status = ResponseStatus::kError;
+    resp.error = "bad request: line longer than " + std::to_string(kMaxLineBytes) +
+                 " bytes; closing the connection";
+    emit(resp.to_line());
   }
   // Half-close only: late worker callbacks may still hold the Connection and
   // attempt a send (which now fails cleanly). The fd itself is closed by the
   // Connection destructor once the last reference drops — closing here would
   // race a concurrent send() against fd reuse.
   ::shutdown(conn->fd, SHUT_RDWR);
+
+  // Reap as the connection closes: park this thread for the next reader (or
+  // stop()) to join, and join the one parked before it. This is the last
+  // touch of `this`; once live_ is empty, stop() may go on.
+  std::thread previous;
+  {
+    std::lock_guard lock(mutex_);
+    auto self = live_.extract(conn.get());
+    previous = std::exchange(finished_, std::move(self.mapped()));
+    if (live_.empty()) readers_done_.notify_all();
+  }
+  if (previous.joinable()) previous.join();
 }
 
 }  // namespace srna::serve

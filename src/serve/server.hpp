@@ -7,11 +7,13 @@
 //                 and `srna-serve --offline` exercise the full service
 //                 (admission, deadlines, cache, drain) with no networking.
 //   TcpServer     a localhost TCP listener: one accept thread, one reader
-//                 thread per connection, responses written under a
+//                 thread per connection (it exits, and its memory is freed,
+//                 when the connection closes), responses written under a
 //                 per-connection mutex as workers complete them (out of
 //                 order; clients correlate by id). Malformed lines get an
 //                 immediate "error" response rather than killing the
-//                 connection.
+//                 connection. A line longer than kMaxLineBytes gets one
+//                 "error" response and then the connection is closed.
 //
 // Both transports guarantee one response line per request line, in every
 // path (parse failure, admission reject, timeout, error, success).
@@ -21,6 +23,8 @@
 // admission queue — the offline mode's stand-in for the HTTP admin listener.
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -28,7 +32,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "serve/service.hpp"
 
@@ -62,6 +66,11 @@ class TcpServer {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
+  // Longest accepted input line. The buffer of a line that grows past it is
+  // dropped, the client gets one "error" response, and the connection is
+  // closed: one hostile line cannot make the process buffer without bound.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   // Stops accepting, closes every connection, joins all threads. Idempotent.
   // The service itself is NOT drained — that is the caller's decision.
   void stop();
@@ -74,16 +83,23 @@ class TcpServer {
   };
 
   void accept_loop();
-  void serve_connection(std::shared_ptr<Connection> conn);
+  void serve_connection(const std::shared_ptr<Connection>& conn);
 
   LineHandler handler_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
 
-  std::mutex mutex_;  // guards connections_ / readers_ / stopped_
-  std::vector<std::weak_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
+  // Each reader is in `live_` (its Connection kept alive by the reader)
+  // from accept until it is done with the server. A finishing reader moves
+  // its own thread into `finished_` and joins the one it displaced, so a
+  // closed connection's thread is reaped at once and at most one exited
+  // reader waits for its join; stop() waits for `live_` to empty and joins
+  // that last one.
+  std::mutex mutex_;  // guards live_ / finished_ / stopped_
+  std::condition_variable readers_done_;
+  std::unordered_map<Connection*, std::thread> live_;
+  std::thread finished_;
   bool stopped_ = false;
 };
 

@@ -25,6 +25,49 @@ double seconds_between(Clock::time_point from, Clock::time_point to) noexcept {
   return std::chrono::duration<double>(to - from).count();
 }
 
+// The registry instruments the request path touches, resolved once: each
+// Registry lookup takes the registry's global mutex. The references stay
+// valid across Registry::reset(), which zeroes values in place.
+struct Instruments {
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Counter& requests = registry.counter("serve.requests");
+  obs::Counter& admission_rejects = registry.counter("serve.admission_rejects");
+  obs::Gauge& queue_depth = registry.gauge("serve.queue_depth");
+  obs::Histogram& queue_wait = registry.histogram("serve.queue_wait");
+  obs::Counter& deadline_queue_expirations =
+      registry.counter("serve.deadline_queue_expirations");
+  obs::Counter& deadline_solve_expirations =
+      registry.counter("serve.deadline_solve_expirations");
+  obs::Counter& coalesced_requests = registry.counter("serve.coalesced_requests");
+  obs::Counter& batched_solves = registry.counter("serve.batched_solves");
+  obs::Counter& batch_groups = registry.counter("serve.batch_groups");
+  obs::Counter& over_memory_rejects = registry.counter("serve.over_memory_rejects");
+  obs::Gauge& memory_budget_bytes = registry.gauge("serve.memory_budget_bytes");
+  obs::Gauge& memory_reserved_bytes = registry.gauge("serve.memory_reserved_bytes");
+  obs::Gauge& memory_reserved_peak_bytes = registry.gauge("serve.memory_reserved_peak_bytes");
+  obs::Histogram& solve_seconds = registry.histogram("serve.solve_seconds");
+  obs::WindowHistogram& solve_ms_window = registry.window("serve.solve_ms_window");
+  obs::Histogram& request_latency = registry.histogram("serve.request_latency");
+  obs::WindowHistogram& latency_ms_window = registry.window("serve.latency_ms_window");
+  obs::Counter& responses_ok = registry.counter("serve.responses_ok");
+  obs::Counter& responses_timeout = registry.counter("serve.responses_timeout");
+  obs::Counter& responses_rejected = registry.counter("serve.responses_rejected");
+  obs::Counter& responses_over_memory = registry.counter("serve.responses_over_memory");
+  obs::Counter& responses_error = registry.counter("serve.responses_error");
+};
+
+// 2 * MCOS / (arcs_a + arcs_b): 1.0 for identical arc sets.
+double normalized_score(const SecondaryStructure& a, const SecondaryStructure& b,
+                        Score value) noexcept {
+  const double denom = static_cast<double>(a.arc_count() + b.arc_count());
+  return denom > 0 ? 2.0 * static_cast<double>(value) / denom : 1.0;
+}
+
+const Instruments& instruments() {
+  static const Instruments kInstruments;
+  return kInstruments;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ DeadlineMonitor
@@ -108,9 +151,8 @@ QueryService::QueryService(ServiceConfig config)
       started_(Clock::now()) {
   if (config_.default_algorithm.empty()) config_.default_algorithm = "srna2";
   // Fail construction, not the first request, on an unknown default backend.
-  (void)McosEngine::instance().at(config_.default_algorithm);
-  obs::Registry::instance().gauge("serve.memory_budget_bytes").set(
-      static_cast<double>(config_.memory_budget_bytes));
+  default_backend_ = &McosEngine::instance().at(config_.default_algorithm);
+  instruments().memory_budget_bytes.set(static_cast<double>(config_.memory_budget_bytes));
   const int workers = std::max(1, config_.workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) workers_.emplace_back([this] { worker_loop(); });
@@ -146,11 +188,9 @@ bool QueryService::try_reserve_memory(std::uint64_t bytes) {
                                                std::memory_order_relaxed))
       break;
   }
-  auto& registry = obs::Registry::instance();
-  registry.gauge("serve.memory_reserved_bytes").set(
+  instruments().memory_reserved_bytes.set(
       static_cast<double>(memory_reserved_.load(std::memory_order_relaxed)));
-  registry.gauge("serve.memory_reserved_peak_bytes").set_max(
-      static_cast<double>(current + bytes));
+  instruments().memory_reserved_peak_bytes.set_max(static_cast<double>(current + bytes));
   return true;
 }
 
@@ -158,8 +198,7 @@ void QueryService::release_memory(std::uint64_t bytes) {
   if (config_.memory_budget_bytes == 0 || bytes == 0) return;
   const std::uint64_t after =
       memory_reserved_.fetch_sub(bytes, std::memory_order_relaxed) - bytes;
-  obs::Registry::instance().gauge("serve.memory_reserved_bytes").set(
-      static_cast<double>(after));
+  instruments().memory_reserved_bytes.set(static_cast<double>(after));
 }
 
 double QueryService::retry_after_ms_hint() const {
@@ -174,7 +213,8 @@ double QueryService::retry_after_ms_hint() const {
 }
 
 bool QueryService::submit(ServeRequest request, Callback done) {
-  obs::Registry::instance().counter("serve.requests").add();
+  const Instruments& metrics = instruments();
+  metrics.requests.add();
   Job job;
   job.admitted = Clock::now();
   // A propagated correlation id (the distributed router's, or any upstream
@@ -182,11 +222,6 @@ bool QueryService::submit(ServeRequest request, Callback done) {
   job.trace_id = request.trace_id != 0
                      ? request.trace_id
                      : next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  // Tracer timestamp captured up front so the worker can record the queued
-  // phase retroactively (the span belongs to this request's lane even though
-  // no thread runs it while it waits).
-  if (request.trace && obs::Tracer::instance().enabled())
-    job.admitted_us = obs::Tracer::instance().now_us();
   const double deadline_ms =
       request.deadline_ms > 0 ? request.deadline_ms : config_.default_deadline_ms;
   job.deadline = deadline_ms > 0
@@ -198,11 +233,28 @@ bool QueryService::submit(ServeRequest request, Callback done) {
 
   const std::int64_t request_id = job.request.id;
   const std::uint64_t trace_id = job.trace_id;
-  const PushResult admission = queue_.try_push(std::move(job));
+  PushResult admission = PushResult::kClosed;
+  if (!queue_.closed()) {
+    // Resolve and probe the cache here, on the submitting thread: a hit (or
+    // a request that cannot resolve) is answered now — never queued, never
+    // rejected for a full queue.
+    obs::TraceContextScope trace_scope(job.trace_id);
+    if (std::optional<ServeResponse> answer = resolve(job)) {
+      accepted_.fetch_add(1, std::memory_order_relaxed);
+      answer->trace_id = job.trace_id;
+      respond(job, std::move(*answer));
+      return true;
+    }
+    // Tracer timestamp captured at admission so the worker can record the
+    // queued phase retroactively (the span belongs to this request's lane
+    // even though no thread runs it while it waits).
+    if (job.request.trace && obs::Tracer::instance().enabled())
+      job.admitted_us = obs::Tracer::instance().now_us();
+    admission = queue_.try_push(std::move(job));
+  }
   if (admission == PushResult::kAccepted) {
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().gauge("serve.queue_depth").set(
-        static_cast<double>(queue_.depth()));
+    metrics.queue_depth.set(static_cast<double>(queue_.depth()));
     if (obs::Logger::instance().enabled(obs::LogLevel::kDebug))
       obs::log_debug("serve.accept",
                      obs::log_fields({{"id", obs::Json(request_id)},
@@ -213,13 +265,13 @@ bool QueryService::submit(ServeRequest request, Callback done) {
   // Rejected inline: try_push moves from its argument only on accept, so
   // `job` still owns the request and callback here.
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("serve.admission_rejects").add();
+  metrics.admission_rejects.add();
   ServeResponse resp;
   resp.id = job.request.id;
   resp.status = ResponseStatus::kRejected;
   if (admission == PushResult::kFull) {
     resp.retry_after_ms = retry_after_ms_hint();
-    resp.error = "queue full (capacity " + std::to_string(queue_.capacity() ) + ")";
+    resp.error = "queue full (capacity " + std::to_string(queue_.capacity()) + ")";
   } else {
     resp.error = "service is draining";
   }
@@ -242,6 +294,59 @@ bool QueryService::submit(ServeRequest request, Callback done) {
   return false;
 }
 
+std::optional<ServeResponse> QueryService::resolve(Job& job) {
+  const ServeRequest& req = job.request;
+  obs::TraceScope span("serve", "request");
+  if (span.active()) span.set_args(obs::trace_args({{"id", req.id}}));
+  job.algorithm = req.algorithm.empty() ? config_.default_algorithm : req.algorithm;
+  ServeResponse resp;
+  resp.id = req.id;
+  resp.algorithm = job.algorithm;
+  try {
+    if (req.by_name()) {
+      if (config_.db == nullptr)
+        throw std::invalid_argument("this service has no structure database loaded");
+      const std::size_t ia = config_.db->find(req.a_name);
+      const std::size_t ib = config_.db->find(req.b_name);
+      if (ia == StructureDatabase::npos)
+        throw std::invalid_argument("unknown structure name '" + req.a_name + "'");
+      if (ib == StructureDatabase::npos)
+        throw std::invalid_argument("unknown structure name '" + req.b_name + "'");
+      job.a = config_.db->record(ia).structure;
+      job.b = config_.db->record(ib).structure;
+    } else {
+      job.a = parse_dot_bracket(req.a);
+      job.b = parse_dot_bracket(req.b);
+    }
+    // The canonical pair digest, echoed so routing is auditable end to end
+    // (the distributed router hashes the same digest onto its shard ring).
+    const std::uint64_t pair_digest = hash_structure_pair(job.a, job.b);
+    job.digest = digest_hex(pair_digest);
+    resp.digest = job.digest;
+    job.backend = req.algorithm.empty() ? default_backend_
+                                        : &McosEngine::instance().at(req.algorithm);
+    if (req.layout == "compressed") job.config.layout = SliceLayout::kCompressed;
+    job.key = CacheKey::make(job.a, job.b, config_fingerprint(job.algorithm, job.config),
+                             pair_digest);
+  } catch (const std::exception& e) {
+    resp.status = ResponseStatus::kError;
+    resp.error = e.what();
+    return resp;
+  }
+  if (req.no_cache) return std::nullopt;
+
+  obs::TraceScope cache_span("serve", "cache_lookup", req.trace);
+  const std::optional<Score> hit = cache_.get(job.key);
+  if (cache_span.active())
+    cache_span.set_args(obs::trace_args({{"hit", hit.has_value() ? 1 : 0}}));
+  if (!hit) return std::nullopt;
+  resp.status = ResponseStatus::kOk;
+  resp.value = *hit;
+  resp.normalized = normalized_score(job.a, job.b, *hit);
+  resp.cache_hit = true;
+  return resp;
+}
+
 std::future<ServeResponse> QueryService::solve_async(ServeRequest request) {
   auto promise = std::make_shared<std::promise<ServeResponse>>();
   std::future<ServeResponse> future = promise->get_future();
@@ -257,16 +362,14 @@ ServeResponse QueryService::solve(ServeRequest request) {
 void QueryService::worker_loop() {
   workers_running_.fetch_add(1, std::memory_order_acq_rel);
   while (auto job = queue_.pop()) {
-    obs::Registry::instance().gauge("serve.queue_depth").set(
-        static_cast<double>(queue_.depth()));
+    instruments().queue_depth.set(static_cast<double>(queue_.depth()));
     process(std::move(*job));
   }
 }
 
 void QueryService::process(Job job) {
   const Clock::time_point picked_up = Clock::now();
-  obs::Registry::instance().histogram("serve.queue_wait").observe(
-      std::max(1e-9, seconds_between(job.admitted, picked_up)));
+  instruments().queue_wait.observe(std::max(1e-9, seconds_between(job.admitted, picked_up)));
   // Stored on the job because a parked job is answered later, by its flight
   // or batch leader, which must echo this job's own queue timing.
   job.queued_ms = ms_between(job.admitted, picked_up);
@@ -289,7 +392,7 @@ void QueryService::process(Job job) {
   std::vector<Job> batch_members;
   if (picked_up >= job.deadline) {
     // Expired while queued: answer without burning a solve on it.
-    obs::Registry::instance().counter("serve.deadline_queue_expirations").add();
+    instruments().deadline_queue_expirations.add();
     response.id = job.request.id;
     response.status = ResponseStatus::kTimeout;
     response.error = "deadline expired while queued";
@@ -319,13 +422,13 @@ void QueryService::run_batch_member(Job job) {
   bool parked = false;
   std::vector<Job> no_members;  // no_batch ⇒ solve_job never fills this
   if (Clock::now() >= job.deadline) {
-    obs::Registry::instance().counter("serve.deadline_queue_expirations").add();
+    instruments().deadline_queue_expirations.add();
     response.id = job.request.id;
     response.status = ResponseStatus::kTimeout;
     response.error = "deadline expired while batched";
   } else {
     batched_solves_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.batched_solves").add();
+    instruments().batched_solves.add();
     response = solve_job(job, parked, no_members);
   }
   if (parked) return;  // joined an in-flight duplicate; that leader answers it
@@ -361,11 +464,11 @@ void QueryService::finish_flight(const std::string& key,
 ServeResponse QueryService::solve_job(Job& job, bool& parked,
                                       std::vector<Job>& batch_members) {
   const ServeRequest& req = job.request;
+  const Instruments& metrics = instruments();
   ServeResponse resp;
   resp.id = req.id;
-  const std::string algorithm =
-      req.algorithm.empty() ? config_.default_algorithm : req.algorithm;
-  resp.algorithm = algorithm;
+  resp.algorithm = job.algorithm;
+  resp.digest = job.digest;
 
   // Set once this worker registers itself as the single-flight leader for
   // its (pair, config); every exit after that point — ok, over-memory,
@@ -377,50 +480,13 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
     obs::TraceScope span("serve", "request");
     if (span.active()) span.set_args(obs::trace_args({{"id", req.id}}));
 
-    // Resolve the pair (worker-side, off the submitter's thread).
-    SecondaryStructure a;
-    SecondaryStructure b;
-    if (req.by_name()) {
-      if (config_.db == nullptr)
-        throw std::invalid_argument("this service has no structure database loaded");
-      const std::size_t ia = config_.db->find(req.a_name);
-      const std::size_t ib = config_.db->find(req.b_name);
-      if (ia == StructureDatabase::npos)
-        throw std::invalid_argument("unknown structure name '" + req.a_name + "'");
-      if (ib == StructureDatabase::npos)
-        throw std::invalid_argument("unknown structure name '" + req.b_name + "'");
-      a = config_.db->record(ia).structure;
-      b = config_.db->record(ib).structure;
-    } else {
-      a = parse_dot_bracket(req.a);
-      b = parse_dot_bracket(req.b);
-    }
-
-    // The canonical pair digest, echoed so routing is auditable end to end
-    // (the distributed router hashes the same digest onto its shard ring).
-    resp.digest = pair_digest_hex(a, b);
-
-    SolverConfig config;
-    if (req.layout == "compressed") config.layout = SliceLayout::kCompressed;
-    const SolverBackend& backend = McosEngine::instance().at(algorithm);
-
-    const double denom = static_cast<double>(a.arc_count() + b.arc_count());
-    const auto normalized = [&](Score value) {
-      return denom > 0 ? 2.0 * static_cast<double>(value) / denom : 1.0;
-    };
-
-    const std::string fingerprint = config_fingerprint(algorithm, config);
-    CacheKey key = CacheKey::make(a, b, fingerprint);
+    // The pair, backend and cache key were resolved at submit. Look again:
+    // a duplicate may have filled the cache while this job was queued.
     if (!req.no_cache) {
-      obs::TraceScope cache_span("serve", "cache_lookup", req.trace);
-      const std::optional<Score> hit = cache_.get(key);
-      if (cache_span.active())
-        cache_span.set_args(obs::trace_args({{"hit", hit.has_value() ? 1 : 0}}));
-      cache_span.close();
-      if (hit) {
+      if (const std::optional<Score> hit = cache_.get(job.key, /*count_miss=*/false)) {
         resp.status = ResponseStatus::kOk;
         resp.value = *hit;
-        resp.normalized = normalized(*hit);
+        resp.normalized = normalized_score(job.a, job.b, *hit);
         resp.cache_hit = true;
         return resp;
       }
@@ -432,7 +498,8 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
     // process(), after its own answer). no_cache requests skip this — they
     // demand a fresh, immediate solve.
     if (config_.batch_window_ms > 0 && !req.no_cache && !job.no_batch) {
-      const std::string batch_key = digest_hex(hash_structure(a)) + "|" + fingerprint;
+      const std::string batch_key =
+          digest_hex(hash_structure(job.a)) + "|" + job.key.fingerprint;
       bool batch_leader = false;
       {
         std::lock_guard lock(coalesce_mutex_);
@@ -458,7 +525,7 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
       }
       if (!batch_members.empty()) {
         batch_groups_.fetch_add(1, std::memory_order_relaxed);
-        obs::Registry::instance().counter("serve.batch_groups").add();
+        metrics.batch_groups.add();
         obs::log_debug(
             "serve.batch_group",
             obs::log_fields({{"id", obs::Json(req.id)},
@@ -472,7 +539,7 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
     // leader fans its outcome out to every follower. Duplicate misses cost
     // one solve total, and followers add nothing to the memory reservation.
     if (!req.no_cache) {
-      flight_key = resp.digest + "|" + fingerprint;
+      flight_key = job.digest + "|" + job.key.fingerprint;
       bool joined = false;
       {
         std::lock_guard lock(coalesce_mutex_);
@@ -486,21 +553,23 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
       }
       if (joined) {
         coalesced_.fetch_add(1, std::memory_order_relaxed);
-        obs::Registry::instance().counter("serve.coalesced_requests").add();
+        metrics.coalesced_requests.add();
         parked = true;
         return resp;
       }
     }
 
+    const SolverBackend& backend = *job.backend;
+    SolverConfig config = job.config;
     // Memory admission: reserve the backend's resident-byte upper bound
     // against the process budget before dispatching, so concurrent large
     // solves cannot sum past the cap. Runs after the cache lookup on
     // purpose — a hit costs no solver memory and must never be rejected.
     std::uint64_t reserved_bytes = 0;
     if (const std::uint64_t budget = config_.memory_budget_bytes; budget != 0) {
-      const std::uint64_t estimate = backend.estimate_memory_bytes(a, b, config);
+      const std::uint64_t estimate = backend.estimate_memory_bytes(job.a, job.b, config);
       if (!try_reserve_memory(estimate)) {
-        obs::Registry::instance().counter("serve.over_memory_rejects").add();
+        metrics.over_memory_rejects.add();
         resp.status = ResponseStatus::kOverMemoryBudget;
         resp.estimated_bytes = estimate;
         if (estimate <= budget) {
@@ -517,7 +586,7 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
         }
         obs::log_warn("serve.over_memory",
                       obs::log_fields({{"id", obs::Json(req.id)},
-                                       {"algorithm", obs::Json(algorithm)},
+                                       {"algorithm", obs::Json(job.algorithm)},
                                        {"estimated_bytes", obs::Json(estimate)},
                                        {"budget_bytes", obs::Json(budget)}}));
         if (flight_leader) finish_flight(flight_key, resp);
@@ -549,18 +618,16 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
       obs::TraceScope solve_span("serve", "solve", req.trace);
       if (solve_span.active())
         solve_span.set_args(obs::trace_args(
-            {{"n_a", static_cast<std::int64_t>(a.length())},
-             {"n_b", static_cast<std::int64_t>(b.length())}}));
+            {{"n_a", static_cast<std::int64_t>(job.a.length())},
+             {"n_b", static_cast<std::int64_t>(job.b.length())}}));
       const EngineResult result =
-          solve_with(backend, a, b, config, Workspace::local());
+          solve_with(backend, job.a, job.b, config, Workspace::local());
       solve_span.close();
       if (watched) monitor_.release(ticket);
       const double solve_seconds = seconds_between(solve_start, Clock::now());
       resp.solve_ms = solve_seconds * 1e3;
-      obs::Registry::instance().histogram("serve.solve_seconds").observe(
-          std::max(1e-9, solve_seconds));
-      obs::Registry::instance().window("serve.solve_ms_window").observe(
-          resp.solve_ms, job.trace_id);
+      metrics.solve_seconds.observe(std::max(1e-9, solve_seconds));
+      metrics.solve_ms_window.observe(resp.solve_ms, job.trace_id);
       // EWMA(1/8) feeds the retry-after hint; benign update race is fine.
       const double prev =
           std::bit_cast<double>(solve_ewma_bits_.load(std::memory_order_relaxed));
@@ -570,11 +637,11 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
 
       resp.status = ResponseStatus::kOk;
       resp.value = result.value;
-      resp.normalized = normalized(result.value);
-      if (!req.no_cache) cache_.put(std::move(key), result.value);
+      resp.normalized = normalized_score(job.a, job.b, result.value);
+      if (!req.no_cache) cache_.put(std::move(job.key), result.value);
     } catch (const SolveCancelled&) {
       if (watched) monitor_.release(ticket);
-      obs::Registry::instance().counter("serve.deadline_solve_expirations").add();
+      metrics.deadline_solve_expirations.add();
       resp.status = ResponseStatus::kTimeout;
       resp.error = "deadline expired mid-solve (cancelled at a slice boundary)";
       resp.solve_ms = ms_between(solve_start, Clock::now());
@@ -596,22 +663,20 @@ ServeResponse QueryService::solve_job(Job& job, bool& parked,
 
 void QueryService::respond(const Job& job, ServeResponse response) {
   response.latency_ms = ms_between(job.admitted, Clock::now());
-  auto& registry = obs::Registry::instance();
-  registry.histogram("serve.request_latency").observe(
-      std::max(1e-9, response.latency_ms / 1e3));
+  const Instruments& metrics = instruments();
+  metrics.request_latency.observe(std::max(1e-9, response.latency_ms / 1e3));
   // The sliding window behind the admin endpoint's live p50/p95/p99 gauges.
   // The trace id rides along as the exemplar: the window's max quantile can
   // name the exact request that set it.
-  registry.window("serve.latency_ms_window").observe(response.latency_ms,
-                                                     response.trace_id);
+  metrics.latency_ms_window.observe(response.latency_ms, response.trace_id);
   switch (response.status) {
     case ResponseStatus::kOk:
       responses_ok_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.responses_ok").add();
+      metrics.responses_ok.add();
       break;
     case ResponseStatus::kTimeout:
       responses_timeout_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.responses_timeout").add();
+      metrics.responses_timeout.add();
       obs::log_warn("serve.timeout",
                     obs::log_fields({{"id", obs::Json(response.id)},
                                      {"trace_id", obs::Json(response.trace_id)},
@@ -619,15 +684,15 @@ void QueryService::respond(const Job& job, ServeResponse response) {
                                      {"detail", obs::Json(response.error)}}));
       break;
     case ResponseStatus::kRejected:
-      registry.counter("serve.responses_rejected").add();
+      metrics.responses_rejected.add();
       break;
     case ResponseStatus::kOverMemoryBudget:
       responses_over_memory_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.responses_over_memory").add();
+      metrics.responses_over_memory.add();
       break;
     case ResponseStatus::kError:
       responses_error_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.responses_error").add();
+      metrics.responses_error.add();
       obs::log_warn("serve.error",
                     obs::log_fields({{"id", obs::Json(response.id)},
                                      {"trace_id", obs::Json(response.trace_id)},
@@ -651,7 +716,7 @@ void QueryService::respond(const Job& job, ServeResponse response) {
 }
 
 obs::Json QueryService::stats_json() const {
-  auto& registry = obs::Registry::instance();
+  const Instruments& metrics = instruments();
   obs::Json doc = obs::Json::object();
   doc.set("workers", obs::Json(static_cast<std::uint64_t>(workers_.size())));
   doc.set("queue_capacity", obs::Json(static_cast<std::uint64_t>(queue_.capacity())));
@@ -682,7 +747,7 @@ obs::Json QueryService::stats_json() const {
                                 : 0.0));
 
   obs::Json latency = obs::Json::object();
-  const auto lat = registry.histogram("serve.request_latency").snapshot();
+  const auto lat = metrics.request_latency.snapshot();
   latency.set("count", obs::Json(lat.count));
   latency.set("p50_ms", obs::Json(lat.p50 * 1e3));
   latency.set("p90_ms", obs::Json(lat.p90 * 1e3));
@@ -691,7 +756,7 @@ obs::Json QueryService::stats_json() const {
   doc.set("request_latency", std::move(latency));
   // Exact percentiles over the recent window (what the admin endpoint
   // exposes live), alongside the since-start bucket estimates above.
-  doc.set("latency_ms_window", registry.window("serve.latency_ms_window").to_json());
+  doc.set("latency_ms_window", metrics.latency_ms_window.to_json());
   // The memory ledger: RSS plus the exact byte gauges (memo table, slice
   // scratch, result cache) — one place to answer "what does serving cost in
   // bytes right now".

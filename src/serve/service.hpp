@@ -6,14 +6,21 @@
 // through a caller-supplied completion callback. Production behaviors, in
 // the order a request meets them:
 //
-//   admission   try_push on the bounded queue; a full queue rejects
+//   resolution  submit() resolves each request once, on the calling thread:
+//               dot-bracket literals are parsed (or db names looked up), the
+//               backend is found, and the cache key and pair digest are
+//               computed. A request that cannot resolve is answered there.
+//   cache       completed solves are memoized in a sharded LRU keyed by the
+//               canonical (A, B, config) digest. The lookup also runs in
+//               submit(): a hit is answered on the calling thread — no
+//               queue hop, no worker wake, never rejected for a full queue
+//               (queued_ms 0). A miss carries its resolved pair and key to
+//               a worker, which looks once more (a duplicate may have filled
+//               the entry meanwhile) and parses nothing.
+//   admission   misses try_push on the bounded queue; a full queue rejects
 //               synchronously with a retry-after hint derived from the
 //               current depth and the observed solve-time EWMA (explicit
 //               backpressure, never unbounded queueing).
-//   resolution  dot-bracket literals are parsed / db names resolved on the
-//               worker, off the submitter's thread.
-//   cache       completed solves are memoized in a sharded LRU keyed by the
-//               canonical (A, B, config) digest; a hit skips the solver.
 //   coalescing  cache-missed cacheable requests for the *same* (pair, config)
 //               single-flight: the first worker in becomes the leader and
 //               solves; duplicates arriving while it runs park as followers
@@ -39,9 +46,9 @@
 //               flag, which the solver polls at slice boundaries
 //               (SolveCancelled). Either way the client gets a "timeout"
 //               response — never a torn result, never silence.
-//   drain       stop() closes the queue, lets workers finish every accepted
-//               request, then joins. Exactly one response per accepted
-//               request, always.
+//   drain       drain() closes the queue, lets workers finish every accepted
+//               request, then joins; later submissions are rejected, hits
+//               included. Exactly one response per accepted request, always.
 //
 // The pool is std::thread (not OpenMP) on purpose: every synchronization
 // primitive here is TSan-modeled, making serve the first subsystem with
@@ -64,14 +71,16 @@
 // utilization.
 //
 // Tracing: every admitted request gets a monotonically increasing trace id,
-// echoed in its response and installed as the worker's obs trace context
-// while the request is processed — all spans recorded anywhere downstream
-// (cache lookup, engine solve, PRNA's parallel stage one) carry
-// `"trace_id": N` and group into one correlated lane set in the Chrome
-// trace. Per-phase spans (queued / cache_lookup / solve) are recorded only
-// for requests that ask (`"trace": true`), keeping the common path at one
-// id assignment. Operational events (rejects, timeouts, drain) go through
-// the structured obs logger under `serve.*` event keys.
+// echoed in its response and installed as the obs trace context while the
+// request is resolved (on the submitting thread) and while a worker solves
+// it — all spans recorded anywhere downstream (cache lookup, engine solve,
+// PRNA's parallel stage one) carry `"trace_id": N` and group into one
+// correlated lane set in the Chrome trace. A hit records one serve/request
+// span; a miss records one at submit (resolve + lookup) and one on its
+// worker (solve). Per-phase spans (queued / cache_lookup / solve) are
+// recorded only for requests that ask (`"trace": true`), keeping the common
+// path at one id assignment. Operational events (rejects, timeouts, drain)
+// go through the structured obs logger under `serve.*` event keys.
 #pragma once
 
 #include <atomic>
@@ -82,6 +91,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -181,11 +191,13 @@ class QueryService {
 
   using Callback = std::function<void(const ServeResponse&)>;
 
-  // Admission. Returns true when the request was queued; the callback will
-  // run exactly once, on a worker thread. Returns false when admission
-  // failed (queue full or draining) — the callback has already run inline
-  // with a "rejected" response. Either way, every submit produces exactly
-  // one response.
+  // Admission. Returns true when the request was accepted: either it was
+  // answered inline (a cache hit, or a request that cannot resolve — the
+  // callback has already run on this thread) or it was queued and the
+  // callback will run exactly once, on a worker thread. Returns false when
+  // admission failed (queue full or draining) — the callback has already run
+  // inline with a "rejected" response. Either way, every submit produces
+  // exactly one response.
   bool submit(ServeRequest request, Callback done);
 
   // Conveniences for tests and the in-process load generator.
@@ -230,6 +242,15 @@ class QueryService {
     // Set on batch members re-executed by their leader so they cannot park
     // into a second accumulation window.
     bool no_batch = false;
+    // Resolved once by submit() (see resolve()); a miss carries all of it to
+    // its worker.
+    SecondaryStructure a;
+    SecondaryStructure b;
+    std::string algorithm;                  // the request's, or the default
+    const SolverBackend* backend = nullptr;
+    SolverConfig config;                    // the request's layout
+    std::string digest;                     // pair_digest_hex(a, b)
+    CacheKey key;                           // (a, b, config fingerprint)
   };
 
   // A single-flight entry: jobs that cache-missed on a (pair, config) some
@@ -244,10 +265,15 @@ class QueryService {
     std::vector<Job> members;
   };
 
+  // Resolves job.request in place (pair, backend, cache key) and probes the
+  // cache. Returns the answer when there already is one — a hit, or an
+  // "error" for a request that cannot resolve — and nullopt when the job
+  // needs a worker.
+  [[nodiscard]] std::optional<ServeResponse> resolve(Job& job);
   void worker_loop();
   void process(Job job);
-  // Solves job.request. When the job parked behind an in-flight duplicate or
-  // a batch leader instead, sets `parked` and returns a meaningless response —
+  // Solves a resolved job. When the job parked behind an in-flight duplicate
+  // or a batch leader instead, sets `parked` and returns a meaningless response —
   // ownership of the job (and the duty to answer it) moved to that leader.
   // When this job led a batch, its collected members are appended to
   // `batch_members` for the caller to execute after responding to the leader.
@@ -270,6 +296,7 @@ class QueryService {
   void release_memory(std::uint64_t bytes);
 
   ServiceConfig config_;
+  const SolverBackend* default_backend_ = nullptr;  // config_.default_algorithm's
   ResultCache cache_;
   BoundedQueue<Job> queue_;
   DeadlineMonitor monitor_;

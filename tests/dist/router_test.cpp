@@ -14,15 +14,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/net.hpp"
 #include "obs/json.hpp"
+#include "obs/log.hpp"
 #include "rna/dot_bracket.hpp"
 #include "rna/generators.hpp"
 #include "rna/structure_hash.hpp"
@@ -83,6 +88,7 @@ class LineClient {
   [[nodiscard]] bool send_line(const std::string& line) {
     return send_all(fd_, line + "\n");
   }
+  [[nodiscard]] bool send_raw(const std::string& bytes) { return send_all(fd_, bytes); }
 
   // One line, or nullopt on EOF / 15s receive timeout (tests fail loudly
   // instead of hanging).
@@ -324,6 +330,100 @@ TEST(Router, RouteOfIsDeterministicAndStaysInTheFleet) {
     for (const std::string& name : route)
       EXPECT_TRUE(name == "s0" || name == "s1") << name;
   }
+  router.stop();
+}
+
+TEST(Router, AnAdmittedRequestIsNotTimedOutBeforeItsFirstDispatch) {
+  // Regression: an entry used to enter the pending map with an epoch
+  // deadline and get its real one only at its first dispatch, so a
+  // maintenance scan in between re-dispatched it as an "attempt timeout" (a
+  // duplicate forward and a late drop). The debug line logged between the
+  // two holds that window open here for several maintenance periods.
+  Shard shard("s0");
+  Router router(fast_probe_config({shard.address}));
+  struct SlowAdmitLog {
+    obs::LogLevel level = obs::Logger::instance().min_level();
+    SlowAdmitLog() {
+      obs::Logger::instance().set_sink([](const std::string& line) {
+        if (line.find("router.admit") != std::string::npos)
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      });
+      obs::Logger::instance().set_min_level(obs::LogLevel::kDebug);
+    }
+    ~SlowAdmitLog() {
+      obs::Logger::instance().set_min_level(level);
+      obs::Logger::instance().set_sink(nullptr);
+    }
+  };
+
+  std::mutex mutex;
+  std::condition_variable answered;
+  std::optional<std::string> answer;
+  {
+    const SlowAdmitLog slow_admit;
+    serve::ServeRequest req;
+    req.id = 5;
+    req.a = "((..))";
+    req.b = "(..)";
+    req.trace = true;
+    router.handle_line(req.to_line(), [&](const std::string& line) {
+      std::lock_guard lock(mutex);
+      answer = line;
+      answered.notify_all();
+    });
+    std::unique_lock lock(mutex);
+    answered.wait_for(lock, std::chrono::seconds(15), [&] { return answer.has_value(); });
+  }
+  ASSERT_TRUE(answer.has_value());
+  const serve::ServeResponse resp = serve::ServeResponse::from_line(*answer);
+  EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(resp.attempts, 1u);
+  const obs::Json stats = router.stats_json();
+  const obs::Json* own = stats.find("router");
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(own->find("attempt_timeouts")->as_uint(), 0u);
+  EXPECT_EQ(own->find("failovers")->as_uint(), 0u);
+  router.stop();
+  EXPECT_EQ(router.stats_json().find("router")->find("late_drops")->as_uint(), 0u);
+}
+
+TEST(Router, HostileLinesGetErrorsAndTheNextConnectionIsRouted) {
+  Shard shard("s0");
+  Router router(fast_probe_config({shard.address}));
+  serve::TcpServer front(
+      [&router](const std::string& line, const serve::TcpServer::EmitLine& emit) {
+        router.handle_line(line, emit);
+      },
+      "127.0.0.1", 0);
+  const std::vector<std::string> pool = test_structures(2);
+  {
+    LineClient client(front.port());
+    ASSERT_TRUE(client.connected());
+    for (const std::string& line :
+         {std::string(300000, '['), R"({"admin": )" + std::string(100000, '[') + "}",
+          std::string("{\"id\": 1e999999, \"a\": \"()\", \"b\": \"()\"}"),
+          std::string("\xff\xfe{\"a\": \"\xc3\x28\"}")}) {
+      const std::optional<std::string> reply = client.roundtrip(line);
+      ASSERT_TRUE(reply.has_value()) << "no answer to a hostile line";
+      EXPECT_EQ(serve::ServeResponse::from_line(*reply).status, serve::ResponseStatus::kError);
+    }
+    // The same connection still routes.
+    const std::optional<std::string> reply = client.roundtrip(request_line(2, pool[0], pool[1]));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(serve::ServeResponse::from_line(*reply).status, serve::ResponseStatus::kOk);
+
+    // A line past the cap: one error, then the router closes the connection.
+    ASSERT_TRUE(client.send_raw(std::string(serve::TcpServer::kMaxLineBytes + 1, '[')));
+    const std::optional<std::string> over = client.recv_line();
+    ASSERT_TRUE(over.has_value());
+    EXPECT_EQ(serve::ServeResponse::from_line(*over).status, serve::ResponseStatus::kError);
+    EXPECT_FALSE(client.recv_line().has_value()) << "the connection must be closed";
+  }
+  LineClient next(front.port());
+  const std::optional<std::string> reply = next.roundtrip(request_line(3, pool[1], pool[0]));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(serve::ServeResponse::from_line(*reply).status, serve::ResponseStatus::kOk);
+  front.stop();
   router.stop();
 }
 

@@ -93,6 +93,23 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("{} trailing").has_value());
 }
 
+TEST(Json, ParseBoundsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth)).has_value());
+  EXPECT_FALSE(Json::parse(nested(Json::kMaxDepth + 1)).has_value());
+  // Objects count too, interleaved with arrays.
+  std::string mixed;
+  for (int i = 0; i <= Json::kMaxDepth / 2; ++i) mixed += "{\"k\":[";
+  EXPECT_FALSE(Json::parse(mixed).has_value());
+  // A line of nothing but brackets fails the parse instead of overflowing
+  // the stack.
+  EXPECT_FALSE(Json::parse(std::string(300000, '[')).has_value());
+  EXPECT_FALSE(Json::parse(std::string(300000, '{')).has_value());
+}
+
 TEST(Json, ParseUnicodeEscape) {
   const auto parsed = Json::parse("\"a\\u00e9b\"");
   ASSERT_TRUE(parsed.has_value());

@@ -75,6 +75,14 @@ TEST(DotBracket, RoundTripPseudoknots) {
   }
 }
 
+TEST(DotBracket, EveryBracketKindBuildsTheSameStructureAsFromArcs) {
+  const std::vector<Arc> arcs = {{1, 4}, {0, 5}, {6, 9}};
+  const SecondaryStructure expected = SecondaryStructure::from_arcs(10, arcs);
+  for (const char* text : {"((..))(..)", "[[..]][..]", "{{..}}{..}", "<<..>><..>",
+                           "([..])(..)", "<{..}>[..]"})
+    EXPECT_EQ(parse_dot_bracket(text), expected) << text;
+}
+
 TEST(DotBracket, RoundTripWorstCase) {
   const auto s = worst_case_structure(100);
   EXPECT_EQ(parse_dot_bracket(to_dot_bracket(s)), s);

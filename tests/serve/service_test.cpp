@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -311,6 +312,73 @@ TEST(QueryService, FullQueueRejectsWithRetryAfterAndLosesNothing) {
   // Every accepted request completes; nothing is lost.
   for (auto& f : accepted) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
   EXPECT_EQ(blocker.get().status, ResponseStatus::kTimeout);
+}
+
+TEST(QueryService, CachedPairAnswersInlineWhileTheWorkerIsBlockedAndTheQueueIsFull) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 2;
+  QueryService service(config);
+  const ServeResponse warm = service.solve(literal_request(1, "((..))", "(..)"));
+  ASSERT_EQ(warm.status, ResponseStatus::kOk);
+
+  // Block the worker, then fill the queue with misses until it rejects.
+  std::future<ServeResponse> blocker = service.solve_async(slow_request(2, 600));
+  const auto give_up = std::chrono::steady_clock::now() + 2s;
+  while (service.queue_depth() > 0 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  std::vector<std::future<ServeResponse>> queued;
+  for (std::int64_t id = 10; id < 10 + 100; ++id) {
+    auto promise = std::make_shared<std::promise<ServeResponse>>();
+    std::future<ServeResponse> future = promise->get_future();
+    if (!service.submit(literal_request(id, "()", "()"),
+                        [promise](const ServeResponse& r) { promise->set_value(r); }))
+      break;
+    queued.push_back(std::move(future));
+  }
+  ASSERT_EQ(service.queue_depth(), config.queue_capacity);
+
+  // The cached pair needs no worker and no queue slot: it is answered on the
+  // submitting thread, before submit returns.
+  std::optional<ServeResponse> hit;
+  EXPECT_TRUE(service.submit(literal_request(3, "((..))", "(..)"),
+                             [&hit](const ServeResponse& r) { hit = r; }));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->status, ResponseStatus::kOk);
+  EXPECT_EQ(hit->id, 3);
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->value, warm.value);
+  EXPECT_EQ(hit->queued_ms, 0.0);
+  EXPECT_EQ(hit->solve_ms, 0.0);
+  EXPECT_NE(hit->trace_id, 0u);
+  EXPECT_EQ(hit->digest, warm.digest);
+
+  // The queued misses are still answered, each exactly once.
+  for (auto& f : queued) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+  EXPECT_EQ(blocker.get().status, ResponseStatus::kTimeout);
+}
+
+TEST(QueryService, ResolveErrorsAnswerInlineWithTheirDigestAndAlgorithm) {
+  QueryService service({});
+  ServeRequest req = literal_request(1, "((..))", "(..)");
+  req.algorithm = "quantum";
+  std::optional<ServeResponse> resp;
+  EXPECT_TRUE(service.submit(req, [&resp](const ServeResponse& r) { resp = r; }));
+  ASSERT_TRUE(resp.has_value()) << "an unknown backend needs no worker to fail";
+  EXPECT_EQ(resp->status, ResponseStatus::kError);
+  EXPECT_EQ(resp->algorithm, "quantum");
+  EXPECT_EQ(resp->digest,
+            pair_digest_hex(parse_dot_bracket("((..))"), parse_dot_bracket("(..)")));
+  EXPECT_NE(resp->trace_id, 0u);
+}
+
+TEST(QueryService, DrainRejectsEvenCachedPairs) {
+  QueryService service({});
+  ASSERT_EQ(service.solve(literal_request(1, "((..))", "(..)")).status, ResponseStatus::kOk);
+  service.drain();
+  const ServeResponse resp = service.solve(literal_request(2, "((..))", "(..)"));
+  EXPECT_EQ(resp.status, ResponseStatus::kRejected);
+  EXPECT_NE(resp.error.find("draining"), std::string::npos);
 }
 
 // --- Satellite edge case 3: drain completes in-flight work ------------------
